@@ -893,10 +893,10 @@ pub fn object_fingerprint(module: &str, bytes: &[u8]) -> String {
 /// Digest of every build option that can change the produced image or
 /// report.
 ///
-/// `jobs` and NAIM `shards` are deliberately *excluded*: the pipeline
-/// produces byte-identical output at every worker and shard count, so
-/// a cache populated at `-j4` must hit at `-j1`. The profile database
-/// participates through its full serialized content (its epoch);
+/// `jobs` is deliberately *excluded*: the pipeline produces
+/// byte-identical output at every worker count, so a cache populated
+/// at `-j4` must hit at `-j1`. The profile database participates
+/// through its full serialized content (its epoch);
 /// [`build_key_sliced`] swaps that monolithic tail for per-module
 /// slice fingerprints so retraining only re-keys moved slices.
 #[must_use]

@@ -13,20 +13,12 @@
 
 use crate::driver::{build_objects, BuildError, BuildOptions, BuildOutput};
 use cmo_ir::IlObject;
+use cmo_naim::ContentHash;
 use std::collections::BTreeMap;
-
-fn source_hash(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 #[derive(Debug, Clone)]
 struct Entry {
-    hash: u64,
+    hash: ContentHash,
     object_bytes: Vec<u8>,
 }
 
@@ -52,7 +44,7 @@ impl Project {
     ///
     /// Returns frontend diagnostics for the changed module.
     pub fn update_source(&mut self, module: &str, source: &str) -> Result<bool, BuildError> {
-        let hash = source_hash(source);
+        let hash = ContentHash::of(source.as_bytes());
         if let Some(e) = self.modules.get(module) {
             if e.hash == hash {
                 return Ok(false);

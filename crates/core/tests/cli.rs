@@ -224,10 +224,11 @@ fn bad_flag_values_are_diagnosed_not_panicked() {
         // to hit a `mib << 20` debug-mode panic).
         &["--budget", "99999999999999999999", "x.mlc"],
         &["--budget", "18446744073709551615", "x.mlc"],
-        // Worker and shard counts must be positive.
+        // Worker counts must be positive.
         &["-j", "0", "x.mlc"],
         &["--jobs", "nope", "x.mlc"],
-        &["--shards", "0", "x.mlc"],
+        // The removed NAIM shard flag is rejected, not silently ignored.
+        &["--shards", "2", "x.mlc"],
         // -c builds no image, so image-consuming flags conflict.
         &["-c", "--run", "1", "x.mlc"],
         &["-c", "--emit-asm", "x.mlc"],
@@ -277,15 +278,7 @@ fn jobs_flag_reproduces_report_and_trace_byte_for_byte() {
         let report = dir.join(format!("report-{tag}.json"));
         let trace = dir.join(format!("trace-{tag}.jsonl"));
         let out = cmocc()
-            .args([
-                "+O4",
-                jflag,
-                "--shards",
-                "2",
-                "--budget",
-                "1",
-                "--report-json",
-            ])
+            .args(["+O4", jflag, "--budget", "1", "--report-json"])
             .arg(&report)
             .arg("--trace")
             .arg(&trace)

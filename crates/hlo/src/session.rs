@@ -2,7 +2,7 @@
 
 use cmo_ir::{LinkedUnit, ModuleId, Program, RoutineBody, RoutineId, Transitory};
 use cmo_naim::{
-    LoaderStats, MemClass, MemorySnapshot, NaimConfig, NaimError, PoolId, PoolKind, ShardedLoader,
+    Loader, LoaderStats, MemClass, MemorySnapshot, NaimConfig, NaimError, PoolId, PoolKind,
 };
 use cmo_profile::{ProfileDb, RoutineShape};
 use cmo_telemetry::Telemetry;
@@ -37,9 +37,8 @@ pub struct HloStats {
 
 /// One optimization session over a linked program.
 ///
-/// Owns the always-resident program symbol information and the sharded
-/// NAIM loader holding every transitory pool (shard count comes from
-/// [`NaimConfig::shards`]). All body access goes through
+/// Owns the always-resident program symbol information and the NAIM
+/// loader holding every transitory pool. All body access goes through
 /// [`HloSession::body`] / [`HloSession::body_mut`] so the loader can
 /// manage residency, and phases call [`HloSession::unload_all`] at
 /// their boundaries ("clients simply request that all unneeded pools
@@ -49,7 +48,7 @@ pub struct HloStats {
 pub struct HloSession {
     /// The program symbol tables (global objects, always resident).
     pub program: Program,
-    loader: ShardedLoader<Transitory>,
+    loader: Loader<Transitory>,
     routine_pool: Vec<PoolId>,
     symtab_pool: Vec<PoolId>,
     /// Maintained block execution counts per routine (derived data;
@@ -116,7 +115,7 @@ impl HloSession {
             bodies,
             symtabs,
         } = unit;
-        let mut loader = ShardedLoader::new(config);
+        let mut loader = Loader::new(config);
         loader.set_telemetry(telemetry.clone());
         loader.account(MemClass::Global, program.heap_bytes() as isize);
 
@@ -418,8 +417,8 @@ mod tests {
 
     #[test]
     fn session_is_send() {
-        // The parallel driver moves sessions (and their sharded
-        // loaders) across pipeline threads.
+        // The parallel driver moves sessions (and their loaders)
+        // across pipeline threads.
         fn assert_send<T: Send>() {}
         assert_send::<HloSession>();
     }

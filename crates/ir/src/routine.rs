@@ -247,6 +247,20 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_is_stable_and_sensitive() {
+        let b = body_with_call();
+        assert_eq!(b.fingerprint(), body_with_call().fingerprint());
+        let mut grown = body_with_call();
+        grown.blocks.push(BlockData::new(Terminator::Return(None)));
+        assert_ne!(b.fingerprint(), grown.fingerprint());
+        let mut one_empty = RoutineBody::new();
+        one_empty
+            .blocks
+            .push(BlockData::new(Terminator::Return(None)));
+        assert_ne!(RoutineBody::new().fingerprint(), one_empty.fingerprint());
+    }
+
+    #[test]
     fn call_sites_enumerates_in_order() {
         let b = body_with_call();
         let sites = b.call_sites();

@@ -8,7 +8,6 @@
 //! class. This is deterministic and portable, unlike process RSS.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The three storage classes of §4.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -204,90 +203,6 @@ impl MemoryAccountant {
     }
 }
 
-/// A thread-safe accountant shared by every shard of a sharded loader.
-///
-/// Sharding the loader must not shard the *memory budget*: the paper's
-/// expand/compact/offload thresholds (§4.3) are program-wide, so all
-/// shards report into one atomic accountant and each shard's threshold
-/// decisions see the global total. Counters use relaxed atomics —
-/// accounting is a monotone max/sum structure with no cross-counter
-/// invariant that ordering could protect.
-#[derive(Debug, Default)]
-pub struct SharedAccountant {
-    current: [AtomicUsize; 4],
-    peak: [AtomicUsize; 4],
-    peak_total: AtomicUsize,
-}
-
-impl SharedAccountant {
-    /// Creates a shared accountant with all counters at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `bytes` newly occupied in `class`.
-    pub fn add(&self, class: MemClass, bytes: usize) {
-        let s = class.slot();
-        let now = self.current[s].fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak[s].fetch_max(now, Ordering::Relaxed);
-        self.peak_total.fetch_max(self.total(), Ordering::Relaxed);
-    }
-
-    /// Records `bytes` released from `class`.
-    pub fn remove(&self, class: MemClass, bytes: usize) {
-        let s = class.slot();
-        // fetch_update so concurrent over-removal saturates at zero
-        // instead of wrapping.
-        let _ = self.current[s].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-            Some(cur.saturating_sub(bytes))
-        });
-    }
-
-    /// Adjusts `class` by a signed delta; same checked sign split as
-    /// [`MemoryAccountant::adjust`].
-    pub fn adjust(&self, class: MemClass, delta: isize) {
-        match usize::try_from(delta) {
-            Ok(bytes) => self.add(class, bytes),
-            Err(_) => self.remove(class, delta.unsigned_abs()),
-        }
-    }
-
-    /// Current total bytes across all classes.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.current.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Current bytes in `class`.
-    #[must_use]
-    pub fn class(&self, class: MemClass) -> usize {
-        self.current[class.slot()].load(Ordering::Relaxed)
-    }
-
-    /// Returns a copy of the current snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> MemorySnapshot {
-        let mut snap = MemorySnapshot::default();
-        for s in 0..4 {
-            snap.current[s] = self.current[s].load(Ordering::Relaxed);
-            snap.peak[s] = self.peak[s].load(Ordering::Relaxed);
-        }
-        snap.peak_total = self.peak_total.load(Ordering::Relaxed);
-        snap
-    }
-
-    /// Resets peak tracking to the current occupancy (current counters
-    /// are preserved). Callers must quiesce concurrent mutation first
-    /// for the rebase to be meaningful.
-    pub fn reset_peaks(&self) {
-        for s in 0..4 {
-            self.peak[s].store(self.current[s].load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.peak_total.store(self.total(), Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,40 +241,6 @@ mod tests {
         a.adjust(MemClass::TransitoryExpanded, -600);
         assert_eq!(a.class(MemClass::TransitoryExpanded), 0);
         assert_eq!(a.snapshot().peak_total, 1_000);
-    }
-
-    #[test]
-    fn shared_accountant_matches_local_semantics() {
-        let a = SharedAccountant::new();
-        a.add(MemClass::TransitoryExpanded, 1000);
-        a.remove(MemClass::TransitoryExpanded, 600);
-        a.add(MemClass::TransitoryCompact, 100);
-        a.adjust(MemClass::Derived, 50);
-        a.adjust(MemClass::Derived, -50);
-        let s = a.snapshot();
-        assert_eq!(s.class(MemClass::TransitoryExpanded), 400);
-        assert_eq!(s.peak_class(MemClass::TransitoryExpanded), 1000);
-        assert_eq!(s.peak_total, 1000);
-        assert_eq!(s.total(), 500);
-        a.reset_peaks();
-        assert_eq!(a.snapshot().peak_total, 500);
-    }
-
-    #[test]
-    fn shared_accountant_is_race_free_across_threads() {
-        let a = SharedAccountant::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        a.add(MemClass::TransitoryExpanded, 8);
-                        a.remove(MemClass::TransitoryExpanded, 8);
-                    }
-                });
-            }
-        });
-        assert_eq!(a.class(MemClass::TransitoryExpanded), 0);
-        assert!(a.snapshot().peak_total >= 8);
     }
 
     #[test]

@@ -7,12 +7,11 @@
 //! decided internally from the configured memory [`Thresholds`] — the
 //! scheme is transparent to clients, exactly as in §4.3.
 
-use crate::accounting::{MemClass, MemoryAccountant, MemorySnapshot, SharedAccountant};
+use crate::accounting::{MemClass, MemoryAccountant, MemorySnapshot};
 use crate::encode::{Decoder, Encoder};
 use crate::error::{DecodeError, NaimError};
 use crate::repository::{MemBackend, RepoBackend, RepoHandle, Repository};
 use cmo_telemetry::{Telemetry, TraceEvent};
-use std::sync::Arc;
 
 /// An object that has both expanded and relocatable forms (§4.2.1).
 ///
@@ -48,12 +47,6 @@ impl PoolId {
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Builds a pool id from a raw index (used by the sharded facade to
-    /// translate between global and per-shard id spaces).
-    pub(crate) fn from_raw(raw: u32) -> PoolId {
-        PoolId(raw)
     }
 }
 
@@ -146,12 +139,6 @@ pub struct NaimConfig {
     /// The cost is charged identically whether a real memory map backs
     /// the view, so reports do not depend on the transport.
     pub fetch_cost_per_byte: u64,
-    /// Number of shards a [`crate::ShardedLoader`] splits its pools
-    /// across. Ignored by a plain [`Loader`]. Must be at least 1; the
-    /// memory budget and thresholds stay program-wide regardless
-    /// (shards report into one shared accountant), while `cache_pools`
-    /// is a per-shard limit.
-    pub shards: usize,
 }
 
 impl NaimConfig {
@@ -167,7 +154,6 @@ impl NaimConfig {
             compact_cost_per_byte: 1,
             disk_cost_per_byte: 4,
             fetch_cost_per_byte: 2,
-            shards: 1,
         }
     }
 
@@ -191,14 +177,6 @@ impl NaimConfig {
     #[must_use]
     pub fn hard_limit(mut self, bytes: usize) -> Self {
         self.hard_limit_bytes = Some(bytes);
-        self
-    }
-
-    /// Sets the shard count for sharded loaders, returning the
-    /// modified config. Values below 1 are clamped to 1.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 }
@@ -242,9 +220,8 @@ pub struct LoaderStats {
 impl LoaderStats {
     /// Folds another loader's counters into this one, field by field.
     ///
-    /// Used wherever several loaders present as one: the sharded
-    /// facade sums its shards, and partitioned HLO sums the private
-    /// per-cluster loaders into the session loader's totals.
+    /// Partitioned HLO uses this to sum the private per-cluster loaders
+    /// into the session loader's totals.
     pub fn absorb(&mut self, other: &LoaderStats) {
         self.pools += other.pools;
         self.hits += other.hits;
@@ -277,75 +254,25 @@ struct Slot<T> {
     compact_size: usize,
 }
 
-/// How a loader reports byte occupancy: a private accountant for a
-/// standalone loader, or a reference to the program-wide atomic
-/// accountant shared by every shard of a [`crate::ShardedLoader`].
-#[derive(Debug)]
-enum Accountant {
-    Local(MemoryAccountant),
-    Shared(Arc<SharedAccountant>),
-}
-
-impl Accountant {
-    fn add(&mut self, class: MemClass, bytes: usize) {
-        match self {
-            Accountant::Local(a) => a.add(class, bytes),
-            Accountant::Shared(a) => a.add(class, bytes),
-        }
-    }
-
-    fn remove(&mut self, class: MemClass, bytes: usize) {
-        match self {
-            Accountant::Local(a) => a.remove(class, bytes),
-            Accountant::Shared(a) => a.remove(class, bytes),
-        }
-    }
-
-    fn adjust(&mut self, class: MemClass, delta: isize) {
-        match self {
-            Accountant::Local(a) => a.adjust(class, delta),
-            Accountant::Shared(a) => a.adjust(class, delta),
-        }
-    }
-
-    fn total(&self) -> usize {
-        match self {
-            Accountant::Local(a) => a.total(),
-            Accountant::Shared(a) => a.total(),
-        }
-    }
-
-    fn snapshot(&self) -> MemorySnapshot {
-        match self {
-            Accountant::Local(a) => a.snapshot(),
-            Accountant::Shared(a) => a.snapshot(),
-        }
-    }
-}
-
 /// Manages the residency of transitory object pools.
 ///
-/// See the [crate docs](crate) for a usage example. A `Loader` is a
-/// single-threaded building block: one loader still serves one thread
-/// at a time, but the [`crate::ShardedLoader`] facade composes several
-/// of them (one per shard, each behind its own mutex, all reporting
-/// into one shared atomic accountant) into the thread-safe loader the
-/// parallel driver pipeline uses — the parallelization of NAIM
-/// load/unload that the paper's §8 names as future work.
+/// See the [crate docs](crate) for a usage example. A `Loader` serves
+/// one thread at a time; partitioned HLO gets its parallelism by giving
+/// every callgraph cluster a private loader (see [`Loader::with_ids`]).
 #[derive(Debug)]
 pub struct Loader<T, B = MemBackend> {
     config: NaimConfig,
-    accountant: Accountant,
+    accountant: MemoryAccountant,
     repo: Repository<B>,
     slots: Vec<Slot<T>>,
     clock: u64,
     stats: LoaderStats,
     telemetry: Telemetry,
-    /// Global id of this loader's pool 0 (shard index within a sharded
-    /// loader; 0 standalone).
+    /// Trace id of this loader's pool 0 (0 unless set by
+    /// [`Loader::with_ids`]).
     id_base: u32,
-    /// Distance in global-id space between consecutive local pools
-    /// (shard count within a sharded loader; 1 standalone).
+    /// Distance in trace-id space between consecutive local pools (1
+    /// unless set by [`Loader::with_ids`]).
     id_stride: u32,
     /// Set once the first zero-copy fetch has been announced in the
     /// trace, so the mmap event fires at most once per loader.
@@ -389,7 +316,7 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     pub fn with_repository(config: NaimConfig, repo: Repository<B>) -> Self {
         Loader {
             config,
-            accountant: Accountant::Local(MemoryAccountant::new()),
+            accountant: MemoryAccountant::new(),
             repo,
             slots: Vec::new(),
             clock: 0,
@@ -397,30 +324,6 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
             telemetry: Telemetry::disabled(),
             id_base: 0,
             id_stride: 1,
-            mmap_announced: false,
-        }
-    }
-
-    /// Creates shard `id_base` of `id_stride` total shards, reporting
-    /// into the shared program-wide accountant. Local pool `i` carries
-    /// global id `id_base + i * id_stride` in telemetry.
-    pub(crate) fn shard(
-        config: NaimConfig,
-        repo: Repository<B>,
-        accountant: Arc<SharedAccountant>,
-        id_base: u32,
-        id_stride: u32,
-    ) -> Self {
-        Loader {
-            config,
-            accountant: Accountant::Shared(accountant),
-            repo,
-            slots: Vec::new(),
-            clock: 0,
-            stats: LoaderStats::default(),
-            telemetry: Telemetry::disabled(),
-            id_base,
-            id_stride: id_stride.max(1),
             mmap_announced: false,
         }
     }
@@ -748,26 +651,12 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     ///
     /// Panics if `id` was not produced by this loader.
     pub fn unload(&mut self, id: PoolId) -> Result<(), NaimError> {
-        self.mark_unload(id);
-        self.enforce()
-    }
-
-    /// Marks `id` unload-pending without enforcing the memory policy.
-    /// The sharded facade uses this to batch marking (per shard) ahead
-    /// of one program-wide enforcement pass.
-    pub(crate) fn mark_unload(&mut self, id: PoolId) {
         self.reaccount(id);
         let slot = &mut self.slots[id.index()];
         if matches!(slot.state, State::Expanded(_)) {
             slot.unload_pending = true;
         }
-    }
-
-    /// Marks every expanded pool unload-pending without enforcing.
-    pub(crate) fn mark_all_unload(&mut self) {
-        for idx in 0..self.slots.len() {
-            self.mark_unload(PoolId(idx as u32));
-        }
+        self.enforce()
     }
 
     /// Marks every expanded pool unload-pending and enforces the memory
@@ -778,7 +667,13 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     ///
     /// Propagates enforcement failures (hard out-of-memory).
     pub fn unload_all(&mut self) -> Result<(), NaimError> {
-        self.mark_all_unload();
+        for idx in 0..self.slots.len() {
+            self.reaccount(PoolId(idx as u32));
+            let slot = &mut self.slots[idx];
+            if matches!(slot.state, State::Expanded(_)) {
+                slot.unload_pending = true;
+            }
+        }
         self.enforce()
     }
 
@@ -864,16 +759,6 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     /// Returns [`NaimError::OutOfMemory`] if the heap cannot be brought
     /// under the hard limit.
     pub fn enforce(&mut self) -> Result<(), NaimError> {
-        self.enforce_unlimited()?;
-        self.check_hard_limit()
-    }
-
-    /// The threshold-driven compact/offload sweep of [`Loader::enforce`]
-    /// *without* the final hard-limit check. The sharded facade runs
-    /// this on every shard before checking the program-wide hard limit
-    /// once — a single shard over the limit is not out of memory while
-    /// other shards still hold reclaimable pending pools.
-    pub(crate) fn enforce_unlimited(&mut self) -> Result<(), NaimError> {
         let budget = self.config.budget_bytes as f64;
         let t_ir = (budget * self.config.thresholds.ir_compaction) as usize;
         let t_st = (budget * self.config.thresholds.st_compaction) as usize;
@@ -934,13 +819,6 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
                 bytes: served,
             });
         }
-        Ok(())
-    }
-
-    /// Fails with [`NaimError::OutOfMemory`] if accounted memory (which
-    /// is program-wide when the accountant is shared) exceeds the hard
-    /// limit.
-    pub(crate) fn check_hard_limit(&self) -> Result<(), NaimError> {
         if let Some(limit) = self.config.hard_limit_bytes {
             let total = self.accountant.total();
             if total > limit {
